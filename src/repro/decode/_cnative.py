@@ -35,7 +35,7 @@ _STATE: Optional[tuple] = None
 
 _I8 = ctypes.POINTER(ctypes.c_int8)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
-_I16 = ctypes.POINTER(ctypes.c_int16)
+_F64 = ctypes.POINTER(ctypes.c_double)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 
@@ -58,14 +58,11 @@ def _compile() -> tuple:
     suffix = ".dylib" if sys.platform == "darwin" else ".so"
     lib_path = os.path.join(build_dir, "zigzag_kernels" + suffix)
     base = [cc, "-O3", "-fPIC", "-shared", _SOURCE, "-o", lib_path]
-    # -march=native maximises the vectorized inner loops but is not
-    # universally supported; retry plain if it is rejected.  OpenMP is
-    # likewise best-effort (frames decode independently).
-    attempts = (
-        base[:1] + ["-march=native", "-fopenmp"] + base[1:],
-        base[:1] + ["-march=native"] + base[1:],
-        base,
-    )
+    # -march=native maximises the vectorized row loops but is not
+    # universally supported; retry plain if it is rejected.  No OpenMP:
+    # a thread pool in a process that later forks leaves the children
+    # blocked in it, and worker processes are the parallelism layer.
+    attempts = (base[:1] + ["-march=native"] + base[1:], base)
     err = ""
     for cmd in attempts:
         proc = subprocess.run(
@@ -99,13 +96,20 @@ def load() -> tuple:
                 ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                 ctypes.c_int64, _I8, _I8, _I8, _U8,
             ]
+            lib.quantize_llrs.restype = ctypes.c_int
+            lib.quantize_llrs.argtypes = [
+                _F64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+                ctypes.c_int64, _I8,
+            ]
+            lib.zigzag_workspace_bytes.restype = ctypes.c_int64
+            lib.zigzag_workspace_bytes.argtypes = [ctypes.c_int64] * 4
             lib.zigzag_decode.restype = None
             lib.zigzag_decode.argtypes = [
-                _I16, _I8, _I32,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                _I8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                 ctypes.c_int64, ctypes.c_int64,
-                _I64, ctypes.c_int,
+                _I32, _I32, _I32, _I32,
+                ctypes.c_int64, ctypes.c_int64,
+                _I64, ctypes.c_int, ctypes.c_void_p,
                 _U8, _U8, _I64,
             ]
     return _STATE
@@ -174,8 +178,9 @@ def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
 
     The decode kernel applies magnitude normalization as
     ``(mult * m) >> shift`` so its SIMD lanes never gather from a table.
-    This searches for a ``(mult, shift)`` pair that matches the
-    decoder's LUT on every representable magnitude ``0..max_int``;
+    This searches for the ``(mult, shift)`` pair with the smallest shift
+    that matches the decoder's LUT on every representable magnitude
+    ``0..max_int``;
     returns ``None`` when no pair reproduces it (the backend then falls
     back to the numpy path for that decoder).
     """
@@ -197,35 +202,106 @@ def find_mulshift(lut: np.ndarray, max_int: int) -> Optional[tuple]:
     return None
 
 
+def quantize_llrs(
+    llrs: np.ndarray, gain: float, lsb: float, mi: int
+) -> np.ndarray:
+    """``clip(round(llrs * gain / lsb), +-mi)`` as int8, in one C pass.
+
+    The same arithmetic as ``FixedPointFormat.quantize(llrs * gain)``:
+    round half to even, and non-finite scaled LLRs raise.
+    """
+    lib, reason = load()
+    if lib is None:  # pragma: no cover - guarded by the backend
+        raise RuntimeError(reason)
+    llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    out = np.empty(llrs.shape, dtype=np.int8)
+    if lib.quantize_llrs(
+        _ptr(llrs, ctypes.c_double), llrs.size, float(gain),
+        1.0 / lsb, mi, _ptr(out, ctypes.c_int8),
+    ):
+        raise ValueError(
+            "channel LLRs must be finite; got NaN or infinity "
+            "(int conversion would silently wrap)"
+        )
+    return out
+
+
+def zigzag_runs(in_vn: np.ndarray, n_par: int, width: int, seg: int):
+    """Run table of the segment-parallel decode for ``seg`` segments.
+
+    With check ``c = s*q + r`` (``q = n_par // seg``), edge row
+    ``(t, r)`` (index ``t*q + r``) lists, for every segment ``s``, the
+    info VN at ``in_vn[t*n_par + c]``.  A run is a stretch of
+    consecutive segments whose VNs are consecutive too; the kernel
+    reads each as one contiguous block.  Returns int32 ``(row_ptr,
+    run_seg, run_vn, run_len)``.  On a DVB-S2 code with ``seg`` equal
+    to its parallelism every row is one VN group rotated: at most 2
+    runs.
+    """
+    q = n_par // seg
+    rows = in_vn.reshape(width, seg, q).transpose(0, 2, 1).reshape(-1, seg)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = np.diff(rows, axis=1) != 1
+    flat = np.flatnonzero(starts)
+    row_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int32)
+    np.cumsum(starts.sum(axis=1), out=row_ptr[1:])
+    run_len = np.diff(np.append(flat, rows.size))
+    return tuple(
+        np.ascontiguousarray(a, dtype=np.int32)
+        for a in (row_ptr, flat % seg, rows.ravel()[flat], run_len)
+    )
+
+
+def workspace_bytes(k: int, n_par: int, width: int, seg: int) -> int:
+    """Bytes of scratch :func:`zigzag_decode` needs for this code."""
+    lib, reason = load()
+    if lib is None:  # pragma: no cover - guarded by the backend
+        raise RuntimeError(reason)
+    return int(lib.zigzag_workspace_bytes(k, n_par, width, seg))
+
+
 def zigzag_decode(
-    ch_in: np.ndarray,
-    ch_pn: np.ndarray,
-    in_vn: np.ndarray,
+    ch: np.ndarray,
+    k: int,
+    runs: tuple,
     width: int,
     seg: int,
     mi: int,
     mult: int,
-    shift: int,
     budgets: np.ndarray,
     early_stop: bool,
+    workspace: np.ndarray,
 ) -> tuple:
-    """Decode a whole quantized batch to completion in C."""
+    """Decode a whole int8 ``(frames, n)`` quantized batch in C.
+
+    ``floor(alpha*m) == (mult*m) >> 8`` is the magnitude normalization
+    (see :func:`find_mulshift`), ``runs`` comes from
+    :func:`zigzag_runs`, and ``workspace`` is a uint8 array of at least
+    :func:`workspace_bytes` bytes, reused across calls.
+    """
     lib, reason = load()
     if lib is None:  # pragma: no cover - guarded by the backend
         raise RuntimeError(reason)
-    frames, k = ch_in.shape
-    n_par = ch_pn.shape[1]
-    bits = np.empty((frames, k + n_par), dtype=np.uint8)
-    converged = np.zeros(frames, dtype=np.uint8)
-    iterations = np.zeros(frames, dtype=np.int64)
+    if ch.ndim != 2 or ch.dtype != np.int8 or not ch.flags.c_contiguous:
+        raise ValueError("ch must be a C-contiguous int8 (frames, n) array")
+    frames, n = ch.shape
+    budgets = np.ascontiguousarray(budgets, dtype=np.int64)
+    if budgets.shape != (frames,):
+        raise ValueError(f"budgets must have shape ({frames},)")
+    if workspace.nbytes < workspace_bytes(k, n - k, width, seg):
+        raise ValueError("workspace too small for this code")
+    bits = np.empty((frames, n), dtype=np.uint8)
+    converged = np.empty(frames, dtype=np.uint8)
+    iterations = np.empty(frames, dtype=np.int64)
+    row_ptr, run_seg, run_vn, run_len = runs
     lib.zigzag_decode(
-        _ptr(ch_in, ctypes.c_int16), _ptr(ch_pn, ctypes.c_int8),
-        _ptr(in_vn, ctypes.c_int32),
-        frames, k, n_par, width, seg, mi, mult, shift,
+        _ptr(ch, ctypes.c_int8), frames, k, n - k, width, seg,
+        _ptr(row_ptr, ctypes.c_int32), _ptr(run_seg, ctypes.c_int32),
+        _ptr(run_vn, ctypes.c_int32), _ptr(run_len, ctypes.c_int32),
+        mi, mult,
         _ptr(budgets, ctypes.c_int64), int(bool(early_stop)),
+        workspace.ctypes.data,
         _ptr(bits, ctypes.c_uint8), _ptr(converged, ctypes.c_uint8),
         _ptr(iterations, ctypes.c_int64),
     )
-    if frames and iterations[0] == -1 and (iterations == -1).all():
-        raise MemoryError("kernel workspace allocation failed")
-    return bits, converged.astype(bool), iterations
+    return bits, converged.view(bool), iterations

@@ -13,6 +13,7 @@ the primitives the decoders actually use:
   (the two ``reduceat`` shapes of the check phase),
 * the serial-dependency t-major forward chain scan
   (:meth:`ArrayBackend.zigzag_forward_scan`),
+* channel quantization (:meth:`ArrayBackend.quantize`),
 * an optional whole-batch fused decode
   (:meth:`ArrayBackend.fused_zigzag_plan` /
   :meth:`ArrayBackend.fused_zigzag_decode`).
@@ -26,8 +27,9 @@ Shipped backends:
 ``cnative``
     Compiled C kernels (:mod:`repro.decode._cnative`), built lazily from
     ``_zigzag_kernels.c`` with the system compiler.  Provides the fused
-    min1/min2/argmin sweep, the compiled forward scan, and a fused
-    whole-batch zigzag decode.  Unavailable (with a captured reason)
+    min1/min2/argmin sweep, the compiled forward scan, one-pass int8
+    quantization, and a fused whole-batch zigzag decode whose vector
+    rows are the code's parallel checks × the live frames.  Unavailable (with a captured reason)
     when no working C compiler exists.
 ``numba``
     ``numba.njit(parallel=True)`` twins of the same two kernels
@@ -171,6 +173,15 @@ class ArrayBackend:
         min2 = np.minimum.reduceat(mags, starts, axis=1)
         return min1, min2, argmin
 
+    # -- channel quantization --------------------------------------------
+    def quantize(self, fmt, llrs, gain, dtype):
+        """``fmt.quantize(llrs * gain)`` as integers castable to ``dtype``.
+
+        Fused backends may return ``dtype`` directly from one pass; this
+        default keeps the int32 result of :meth:`FixedPointFormat.quantize`.
+        """
+        return fmt.quantize(np.asarray(llrs, dtype=np.float64) * gain)
+
     # -- kernel hooks ------------------------------------------------------
     def zigzag_forward_scan(
         self, n1, parity_neg, ch_pn, f_old, seg, mi, lut, f, a_norm, a_neg
@@ -193,11 +204,9 @@ class ArrayBackend:
         """
         return None
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
-        """Decode a whole quantized batch under a plan from
-        :meth:`fused_zigzag_plan`; returns ``(bits, converged,
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
+        """Decode a whole quantized ``(frames, n)`` batch under a plan
+        from :meth:`fused_zigzag_plan`; returns ``(bits, converged,
         iterations)`` exactly as the numpy loop would produce them."""
         raise NotImplementedError(
             f"backend {self.name!r} published no fused decode plan"
@@ -232,10 +241,11 @@ class CNativeBackend(ArrayBackend):
     """Compiled C kernels built lazily with the system compiler.
 
     Fuses the check-phase min1/min2/argmin into one sweep, runs the
-    forward chain scan as a compiled loop, and — for formats whose
-    ``floor(alpha*m)`` table admits an exact multiply-shift — decodes
-    whole batches to completion in a single C call (the dominant win:
-    no per-iteration python/numpy dispatch at all).
+    forward chain scan as a compiled loop, quantizes channel LLRs to
+    int8 in one pass, and — for formats whose ``floor(alpha*m)`` table
+    admits an exact multiply-shift — decodes whole batches to
+    completion in a single C call (the dominant win: no per-iteration
+    python/numpy dispatch at all).
     """
 
     name = "cnative"
@@ -282,35 +292,52 @@ class CNativeBackend(ArrayBackend):
         )
         return True
 
+    def quantize(self, fmt, llrs, gain, dtype):
+        if np.dtype(dtype) != np.int8:
+            return super().quantize(fmt, llrs, gain, dtype)
+        return _cnative.quantize_llrs(llrs, gain, fmt.scale, fmt.max_int)
+
     def fused_zigzag_plan(self, decoder) -> Optional[dict]:
         mi = int(decoder.fmt.max_int)
         if decoder._mdt != np.int8 or not decoder._narrow_vn:
             return None
         if np.dtype(decoder._adt).itemsize > 2:
             return None
+        # The kernel normalizes as (mult*m) >> 8 in 16-bit lanes.
         ms = _cnative.find_mulshift(decoder._norm_lut, mi)
-        if ms is None:
+        if ms is None or ms[1] > 8:
             return None
+        mult = ms[0] << (8 - ms[1])
+        if mult * mi >= 1 << 15:
+            return None
+        code = decoder.code
         return {
-            "in_vn": decoder._in_vn_i32,
-            "mult": int(ms[0]),
-            "shift": int(ms[1]),
+            "runs": _cnative.zigzag_runs(
+                decoder._in_vn_i32, code.n_parity, decoder._width,
+                decoder.segments,
+            ),
+            "workspace_bytes": _cnative.workspace_bytes(
+                code.k, code.n_parity, decoder._width, decoder.segments
+            ),
+            "mult": int(mult),
         }
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
+        # One workspace per backend, grown to the largest code seen and
+        # reused by every call (the kernel decodes in fixed-size groups);
+        # like the rest of the scratch arena, one call at a time.
+        ws = self.buf("zz_workspace", (plan["workspace_bytes"],), np.uint8)
         return _cnative.zigzag_decode(
-            ch_in,
-            ch_pn,
-            plan["in_vn"],
+            ch,
+            decoder.code.k,
+            plan["runs"],
             decoder._width,
             decoder.segments,
             int(decoder.fmt.max_int),
             plan["mult"],
-            plan["shift"],
             budgets,
             early_stop,
+            ws,
         )
 
 
@@ -487,12 +514,13 @@ class InstrumentedBackend(ArrayBackend):
     def fused_zigzag_plan(self, decoder):
         return self.inner.fused_zigzag_plan(decoder)
 
-    def fused_zigzag_decode(
-        self, decoder, plan, ch_in, ch_pn, budgets, early_stop
-    ):
+    def quantize(self, fmt, llrs, gain, dtype):
+        return self.inner.quantize(fmt, llrs, gain, dtype)
+
+    def fused_zigzag_decode(self, decoder, plan, ch, budgets, early_stop):
         with self._timer("fused_zigzag_decode"):
             return self.inner.fused_zigzag_decode(
-                decoder, plan, ch_in, ch_pn, budgets, early_stop
+                decoder, plan, ch, budgets, early_stop
             )
 
     def to_device(self, arr):

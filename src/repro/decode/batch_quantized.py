@@ -177,8 +177,8 @@ class _QuantizedBatchBase:
     # ------------------------------------------------------------------
     def quantize_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
         """Scale and quantize float LLRs (any leading batch shape)."""
-        return self.fmt.quantize(
-            np.asarray(channel_llrs, dtype=np.float64) * self.channel_scale
+        return self.backend.quantize(
+            self.fmt, channel_llrs, self.channel_scale, self._mdt
         )
 
     def _normalize(self, mags: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ class BatchQuantizedMinSumDecoder(_QuantizedBatchBase):
         budgets, limit = _normalize_iteration_budgets(
             max_iterations, frames
         )
-        ch = self.quantize_channel(llrs).astype(self._mdt)
+        ch = self.quantize_channel(llrs).astype(self._mdt, copy=False)
         c2v = np.zeros((frames, graph.n_edges), dtype=self._mdt)
         bits = (ch < 0).astype(np.uint8)
         iterations = np.zeros(frames, dtype=np.int64)
@@ -543,7 +543,9 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         early_stop: bool = True,
         iteration_trace=None,
     ) -> BatchDecodeResult:
-        """Decode a ``(frames, N)`` batch of already-quantized integers.
+        """Decode a ``(frames, N)`` batch of already-quantized integers
+        (within the format's ``±max_int``, as :meth:`quantize_channel`
+        produces them).
 
         ``max_iterations`` may be a scalar or a ``(frames,)`` array of
         per-frame budgets; a frame freezes once its budget is spent.
@@ -553,7 +555,7 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
             raise ValueError(
                 f"expected shape (frames, {self.code.n}) quantized LLRs"
             )
-        ch = ch.astype(self._mdt)
+        ch = np.ascontiguousarray(ch, dtype=self._mdt)
         frames = ch.shape[0]
         budgets, limit = _normalize_iteration_budgets(
             max_iterations, frames
@@ -749,16 +751,12 @@ class BatchQuantizedZigzagDecoder(_QuantizedBatchBase):
         """Whole-batch decode on the backend's fused kernel.
 
         The plan gates on the message dtype/normalization at
-        construction; inputs are handed over exactly as the numpy loop
-        would see them, and the kernel's outputs are bit-identical by
-        the backend contract (asserted by the parametrized equivalence
-        sweeps).
+        construction; the int8 batch goes to the kernel as is, and its
+        outputs are bit-identical by the backend contract (asserted by
+        the parametrized equivalence sweeps).
         """
-        k = self._k
-        ch_in = np.ascontiguousarray(ch[:, :k], dtype=np.int16)
-        ch_pn = np.ascontiguousarray(ch[:, k:], dtype=np.int8)
         bits, converged, iterations = self.backend.fused_zigzag_decode(
-            self, self._fused_plan, ch_in, ch_pn, budgets, early_stop
+            self, self._fused_plan, ch, budgets, early_stop
         )
         return BatchDecodeResult(
             bits=bits, converged=converged, iterations=iterations

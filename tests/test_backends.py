@@ -450,3 +450,175 @@ def test_fast_ber_equal_across_backends(code_half_tiny, backend):
     ref = fast_ber(code_half_tiny, **kwargs)
     got = fast_ber(code_half_tiny, backend=backend, **kwargs)
     assert ref == got
+
+
+# ---------------------------------------------------------------------------
+# The segment-parallel cnative kernel: layout, compaction and grouping.
+# The kernel decodes up to 32 frames at once (wider batches in groups)
+# and drops frames from its rows as they finish, so these sweeps cross
+# group boundaries and shrink the live set several times per group.
+
+needs_cnative = pytest.mark.skipif(
+    not HAVE_CNATIVE, reason="no working C compiler"
+)
+
+
+def _mixed_batch(code, n_frames, seed):
+    """Clean, marginal and hopeless frames interleaved, so frames leave
+    the kernel at many different iterations."""
+    ebn0 = np.array([4.0, 2.4, 2.0, 1.6, 3.0, 1.2, 2.2, 5.0])
+    llrs = np.empty((n_frames, code.n))
+    for i in range(n_frames):
+        llrs[i] = _frame_batch(
+            code, ebn0[i % ebn0.size], 1, seed=seed + i,
+            hopeless=int(i % 11 == 10),
+        )[0]
+    return llrs
+
+
+def _zigzag_pair(code, **kwargs):
+    kwargs = dict(normalization=0.75, channel_scale=0.5, **kwargs)
+    return (
+        BatchQuantizedZigzagDecoder(code, **kwargs),
+        BatchQuantizedZigzagDecoder(code, backend="cnative", **kwargs),
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_half(code_half):
+    return _mixed_batch(code_half, 97, seed=100)
+
+
+@needs_cnative
+@pytest.mark.parametrize("occupancy", [1, 2, 31, 32, 33, 64, 65, 97])
+def test_cnative_occupancies_match_numpy(code_half, mixed_half, occupancy):
+    ref, dec = _zigzag_pair(code_half)
+    assert dec._fused_plan is not None
+    llrs = mixed_half[:occupancy]
+    _assert_results_equal(
+        ref.decode_batch(llrs, max_iterations=25),
+        dec.decode_batch(llrs, max_iterations=25),
+    )
+
+
+@needs_cnative
+def test_cnative_live_set_shrinks_repeatedly(code_half, mixed_half):
+    """The reference exits frames at many distinct iterations (each one
+    a compaction in the kernel), and the kernel agrees on all of them."""
+    ref, dec = _zigzag_pair(code_half)
+    want = ref.decode_batch(mixed_half[:32], max_iterations=30)
+    assert np.unique(want.iterations).size >= 5
+    assert want.converged.any() and not want.converged.all()
+    _assert_results_equal(
+        want, dec.decode_batch(mixed_half[:32], max_iterations=30)
+    )
+
+
+@needs_cnative
+def test_cnative_budget_vectors_match_numpy(code_half, mixed_half):
+    ref, dec = _zigzag_pair(code_half)
+    budgets = np.random.default_rng(3).integers(0, 20, 40)
+    for early_stop in (True, False):
+        _assert_results_equal(
+            ref.decode_batch(mixed_half[:40], budgets, early_stop=early_stop),
+            dec.decode_batch(mixed_half[:40], budgets, early_stop=early_stop),
+        )
+
+
+@needs_cnative
+def test_cnative_without_early_stop_matches_numpy(code_half, mixed_half):
+    ref, dec = _zigzag_pair(code_half)
+    got = dec.decode_batch(mixed_half[:34], 9, early_stop=False)
+    assert (got.iterations == 9).all() and not got.converged.any()
+    _assert_results_equal(
+        ref.decode_batch(mixed_half[:34], 9, early_stop=False), got
+    )
+
+
+@needs_cnative
+@pytest.mark.parametrize("segments", [18, 12, 1])
+def test_cnative_generic_segments_match_numpy(code_half, mixed_half,
+                                              segments):
+    """segments != parallelism: rows are no longer one rotated VN
+    group, so the run table takes its generic many-run shape."""
+    ref, dec = _zigzag_pair(code_half, segments=segments)
+    row_ptr, _, _, run_len = dec._fused_plan["runs"]
+    assert np.diff(row_ptr).max() > 2 or run_len.max() == 1
+    _assert_results_equal(
+        ref.decode_batch(mixed_half[:9], max_iterations=20),
+        dec.decode_batch(mixed_half[:9], max_iterations=20),
+    )
+
+
+@needs_cnative
+def test_zigzag_runs_are_rotated_groups(code_half):
+    """With segments == P every edge row is one VN group read as at
+    most two runs, and the run table covers every edge exactly once."""
+    dec = BatchQuantizedZigzagDecoder(code_half)
+    width, n_par, seg = dec._width, code_half.n_parity, dec.segments
+    row_ptr, run_seg, run_vn, run_len = _cnative.zigzag_runs(
+        dec._in_vn_i32, n_par, width, seg
+    )
+    q = n_par // seg
+    assert row_ptr.size == q * width + 1
+    assert np.diff(row_ptr).max() <= 2
+    covered = np.zeros((q * width, seg), dtype=int)
+    for row in range(q * width):
+        for i in range(row_ptr[row], row_ptr[row + 1]):
+            s = np.arange(run_seg[i], run_seg[i] + run_len[i])
+            covered[row, s] += 1
+            t, r = divmod(row, q)
+            np.testing.assert_array_equal(
+                dec._in_vn_sorted[t * n_par + s * q + r],
+                run_vn[i] + np.arange(run_len[i]),
+            )
+    assert (covered == 1).all()
+
+
+@needs_cnative
+def test_cnative_quantize_matches_fixed_point_format(code_half):
+    """The one-pass int8 quantizer keeps FixedPointFormat.quantize's
+    round-half-even rule, saturation and non-finite guard."""
+    from repro.quantize.fixed_point import MESSAGE_6BIT
+
+    be = resolve_backend("cnative")
+    rng = np.random.default_rng(11)
+    llrs = np.concatenate([
+        rng.normal(0.0, 6.0, 4000),
+        np.arange(-40, 41) * 0.125,  # exact ties at the 0.25 LSB / 0.5
+        [1e300, -1e300, 0.0, -0.0],
+    ]).reshape(-1, 5)
+    for gain in (0.5, 1.0, 0.3):
+        got = be.quantize(MESSAGE_6BIT, llrs, gain, np.int8)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(
+            got, MESSAGE_6BIT.quantize(llrs * gain)
+        )
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            be.quantize(MESSAGE_6BIT, np.array([1.0, bad]), 1.0, np.int8)
+
+
+@needs_cnative
+def test_cnative_workspace_is_reused(code_half, mixed_half):
+    ref, dec = _zigzag_pair(code_half)
+    dec.decode_batch(mixed_half[:3], max_iterations=5)
+    ws = dec.backend._scratch["zz_workspace"]
+    got = dec.decode_batch(mixed_half[:40], max_iterations=12)
+    assert dec.backend._scratch["zz_workspace"] is ws
+    _assert_results_equal(
+        ref.decode_batch(mixed_half[:40], max_iterations=12), got
+    )
+
+
+@needs_cnative
+def test_cnative_full_frame_mixed_batch_matches_numpy():
+    """The paper's 64800-bit frame: P = 360 segments of q = 90 checks."""
+    from repro.codes import build_code
+
+    code = build_code("1/2")
+    llrs = _mixed_batch(code, 12, seed=7)
+    ref, dec = _zigzag_pair(code)
+    want = ref.decode_batch(llrs, max_iterations=20)
+    assert np.unique(want.iterations).size >= 3
+    _assert_results_equal(want, dec.decode_batch(llrs, max_iterations=20))
